@@ -55,7 +55,7 @@ fn bench_grid_side(c: &mut Criterion) {
 
 fn bench_grain_size(c: &mut Criterion) {
     // The paper's "large enough chunks to reduce the work distribution
-    // overheads" (§2) — sweep the chunk size of the shared work queue.
+    // overheads" (§2) — sweep the chunk size of the parallel loops.
     let data: Vec<u64> = (0..1u64 << 20).collect();
     let mut group = c.benchmark_group("work_queue_grain");
     group.throughput(Throughput::Elements(data.len() as u64));
@@ -80,10 +80,11 @@ fn bench_grain_size(c: &mut Criterion) {
 }
 
 fn bench_schedulers(c: &mut Criterion) {
-    // Shared-counter chunk queue vs per-worker-deque work stealing, on
-    // an even loop and on a pathologically skewed one.
+    // The ordered-block scheduler on an even loop, where no worker
+    // should need to steal, and on a pathologically skewed one, where
+    // the owner of the heavy first block is relieved only by steals.
     let n = 1usize << 18;
-    let mut group = c.benchmark_group("scheduler_ablation");
+    let mut group = c.benchmark_group("scheduler");
     group.throughput(Throughput::Elements(n as u64));
 
     let even_work = |r: std::ops::Range<usize>| {
@@ -93,11 +94,8 @@ fn bench_schedulers(c: &mut Criterion) {
         }
         black_box(acc);
     };
-    group.bench_function("chunk_queue_even", |b| {
+    group.bench_function("even", |b| {
         b.iter(|| egraph_parallel::parallel_for(0..n, 1024, even_work))
-    });
-    group.bench_function("work_stealing_even", |b| {
-        b.iter(|| egraph_parallel::stealing::stealing_for(0..n, 1024, even_work))
     });
 
     let skewed_work = |r: std::ops::Range<usize>| {
@@ -111,11 +109,8 @@ fn bench_schedulers(c: &mut Criterion) {
         }
         black_box(acc);
     };
-    group.bench_function("chunk_queue_skewed", |b| {
+    group.bench_function("skewed", |b| {
         b.iter(|| egraph_parallel::parallel_for(0..n, 1024, skewed_work))
-    });
-    group.bench_function("work_stealing_skewed", |b| {
-        b.iter(|| egraph_parallel::stealing::stealing_for(0..n, 1024, skewed_work))
     });
     group.finish();
 }

@@ -60,7 +60,7 @@ pub fn register_pool_metrics() {
     );
     r.counter_fn(
         "egraph_pool_chunks_total",
-        "Chunks claimed from shared work queues.",
+        "Chunks claimed by the parallel loops.",
         || egraph_parallel::telemetry::snapshot().chunks as f64,
     );
     r.counter_fn(

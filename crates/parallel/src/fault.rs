@@ -3,13 +3,14 @@
 //! The conformance harness (`egraph-testkit`) needs to prove that the
 //! runtime never hangs and never silently corrupts results when the
 //! schedule degenerates: workers that stall, workers that die, and
-//! steal-heavy schedules where every thief fights over one deque. This
-//! module provides a process-global [`FaultPlan`] that the pool and the
-//! stealing scheduler consult at region entry.
+//! steal-heavy schedules where every thief fights over one block. This
+//! module provides a process-global [`FaultPlan`] that the pool consults
+//! at region entry and the chunked loops of [`crate::ops`] when they
+//! deal out their chunks.
 //!
 //! The disabled-path cost is a single relaxed atomic load per region
-//! entry (the same pattern as [`crate::telemetry`]), so production runs
-//! pay nothing. All injected behavior is a pure function of
+//! entry and per loop (the same pattern as [`crate::telemetry`]), so
+//! production runs pay nothing. All injected behavior is a pure function of
 //! `(seed, region ordinal, worker id)`, which makes every failure
 //! reproducible from the logged seed.
 
@@ -37,8 +38,9 @@ pub struct FaultPlan {
     /// which `panic_worker` fires. Lets a test run a few clean regions
     /// before the fault lands.
     pub panic_from_region: u64,
-    /// Seed all initial [`crate::stealing::stealing_for`] work into
-    /// worker 0's deque so every other worker is forced to steal.
+    /// Seed every chunk of a [`crate::parallel_for`] or
+    /// [`crate::parallel_reduce`] loop into worker 0's block, so every
+    /// other worker has to steal its work.
     pub steal_storm: bool,
 }
 
@@ -68,7 +70,7 @@ impl FaultPlan {
         self
     }
 
-    /// Forces all initial stealing work onto worker 0's deque.
+    /// Seeds every chunk of every loop into worker 0's block.
     pub fn steal_storm(mut self) -> Self {
         self.steal_storm = true;
         self
@@ -165,8 +167,8 @@ fn on_worker_run_slow(worker: usize) {
     }
 }
 
-/// Whether the stealing scheduler should skew all initial work onto
-/// one deque.
+/// Whether the chunked loops should seed every chunk into worker 0's
+/// block.
 #[inline]
 pub(crate) fn steal_storm() -> bool {
     if !enabled() {

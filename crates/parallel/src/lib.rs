@@ -9,9 +9,11 @@
 //!
 //! * a persistent [`ThreadPool`] of worker threads (plus the calling
 //!   thread, which always participates in a parallel region),
-//! * chunked self-scheduling loops ([`parallel_for`], [`parallel_reduce`],
-//!   [`for_each_chunk`]) in which workers grab fixed-size chunks from a
-//!   shared queue — the paper's "work queue" model,
+//! * chunked loops ([`parallel_for`], [`parallel_reduce`],
+//!   [`for_each_chunk`]) on one ordered-block scheduler: each worker
+//!   sweeps a contiguous block of chunks in ascending order and idle
+//!   workers steal the back half of the fullest block, the shape of a
+//!   Cilk parallel loop,
 //! * a dynamic task pool ([`dynamic_tasks`]) with work stealing semantics
 //!   for irregular, recursive workloads (the recursive parallel radix
 //!   sort of §3.2 is its main client),
@@ -47,7 +49,6 @@ pub mod fault;
 pub mod ops;
 pub mod pool;
 pub mod scan;
-pub mod stealing;
 pub mod telemetry;
 pub mod timeline;
 pub mod worker_local;

@@ -1,26 +1,44 @@
-//! Chunked self-scheduling loops over index ranges and slices.
+//! Chunked loops over index ranges and slices, on one ordered-block
+//! scheduler.
 //!
-//! These reproduce the paper's work distribution scheme: the iteration
-//! space is a shared work queue and every worker repeatedly grabs the
-//! next `grain`-sized chunk (one atomic `fetch_add`), so load imbalance
-//! between chunks is absorbed without any static partitioning.
+//! The paper runs every kernel on Cilk (§2), whose parallel loops split
+//! their range in halves: each worker sweeps a contiguous index range in
+//! ascending order, and an idle worker steals the far half of someone
+//! else's range. This scheduler keeps that shape with flat state:
+//!
+//! * the range is cut into `grain`-sized chunks, and the chunks into one
+//!   contiguous block per worker;
+//! * a block is a packed `(front, back)` chunk-index word on its own
+//!   cache line, so claiming or stealing is a single CAS;
+//! * the owner claims chunks from the front, in ascending order;
+//! * a worker whose block is empty takes the back half of the fullest
+//!   other block and sweeps it front to back as its own block.
+//!
+//! The ascending sweep matters beyond cache locality: in-place label
+//! propagation (WCC push) carries a label along a whole block within
+//! one pass, where a queue dealing neighbouring chunks to alternating
+//! workers needs one pass per chunk boundary.
 
 use std::mem::MaybeUninit;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::pool::{broadcast_current, current_num_threads};
+use crate::pool::{broadcast_current, current_num_threads, current_worker_index};
 
-/// Default chunk size for the self-scheduling loops.
+/// Default chunk size for the chunked loops.
 ///
-/// Large enough that the per-chunk `fetch_add` is negligible, small
-/// enough to balance skewed per-item costs (power-law vertex degrees).
+/// Large enough that the per-chunk CAS is negligible, small enough to
+/// balance skewed per-item costs (power-law vertex degrees).
 pub const DEFAULT_GRAIN: usize = 4096;
+
+/// Most chunks one loop is cut into: two chunk indices share one word.
+const MAX_CHUNKS: usize = u32::MAX as usize;
 
 /// Runs `f` over disjoint sub-ranges covering `range`, in parallel.
 ///
-/// Chunks are handed out dynamically in `grain`-sized units; `f` may be
-/// called many times per worker and never with an empty range.
+/// `f` is called with chunks of at most `grain` indices (more only when
+/// the range has over `u32::MAX` of them) and never with an empty range.
+/// Each worker sees its chunks in ascending order within its block.
 ///
 /// # Examples
 ///
@@ -36,32 +54,18 @@ pub fn parallel_for<F>(range: Range<usize>, grain: usize, f: F)
 where
     F: Fn(Range<usize>) + Sync,
 {
-    let grain = grain.max(1);
-    let len = range.end.saturating_sub(range.start);
-    if len == 0 {
-        return;
+    let (schedule, parallel) = Schedule::new(range, grain);
+    let body = |(), r| f(r);
+    if parallel {
+        broadcast_current(&|worker| schedule.sweep(worker.index(), (), body));
+    } else {
+        schedule.sweep(0, (), body);
     }
-    if len <= grain {
-        crate::telemetry::on_chunk();
-        f(range);
-        return;
-    }
-    let base = range.start;
-    let end = range.end;
-    let cursor = AtomicUsize::new(base);
-    broadcast_current(&|_worker| loop {
-        let start = cursor.fetch_add(grain, Ordering::Relaxed);
-        if start >= end {
-            break;
-        }
-        crate::telemetry::on_chunk();
-        f(start..end.min(start + grain));
-    });
 }
 
 /// Parallel map-reduce over an index range.
 ///
-/// Each worker folds the chunks it grabs into a private accumulator
+/// Each worker folds the chunks it claims into a private accumulator
 /// created by `identity`; the per-worker accumulators are then combined
 /// sequentially with `combine`.
 ///
@@ -90,43 +94,182 @@ where
     Fold: Fn(A, Range<usize>) -> A + Sync,
     Combine: Fn(A, A) -> A,
 {
-    let grain = grain.max(1);
-    let len = range.end.saturating_sub(range.start);
-    if len == 0 {
-        return identity();
+    let (schedule, parallel) = Schedule::new(range, grain);
+    // A worker's accumulator is created on its first chunk, so workers
+    // that claim nothing contribute nothing to the combine.
+    let body = |acc: Option<A>, r| Some(fold(acc.unwrap_or_else(&identity), r));
+    if !parallel {
+        return schedule.sweep(0, None, body).unwrap_or_else(identity);
     }
-    if len <= grain {
-        crate::telemetry::on_chunk();
-        return fold(identity(), range);
-    }
-    let end = range.end;
-    let cursor = AtomicUsize::new(range.start);
     // Fixed per-worker result slots: each worker writes only its own
     // index, so the partial collection needs no lock.
-    let mut partials: Vec<Option<A>> = (0..current_num_threads()).map(|_| None).collect();
+    let mut partials: Vec<Option<A>> = (0..schedule.blocks.len()).map(|_| None).collect();
     {
         let slots = SendPtr(partials.as_mut_ptr());
         broadcast_current(&|worker| {
-            let mut acc = identity();
-            let mut did_work = false;
-            loop {
-                let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                if start >= end {
-                    break;
-                }
-                did_work = true;
-                crate::telemetry::on_chunk();
-                acc = fold(acc, start..end.min(start + grain));
-            }
-            if did_work {
-                // SAFETY: worker ids are dense and unique within the
-                // region, so each slot has exactly one writer, and the
-                // borrow of `partials` outlives the blocking region.
-                unsafe { *slots.get().add(worker.index()) = Some(acc) };
-            }
+            let acc = schedule.sweep(worker.index(), None, body);
+            // SAFETY: worker ids are dense and unique within the
+            // region, and `partials` has one slot per block, i.e. per
+            // worker; each slot has exactly one writer, and the borrow
+            // of `partials` outlives the blocking region.
+            unsafe { *slots.get().add(worker.index()) = acc };
         });
     }
     partials.into_iter().flatten().fold(identity(), combine)
+}
+
+/// One loop's chunks, dealt out as one block per worker.
+struct Schedule {
+    start: usize,
+    end: usize,
+    grain: usize,
+    blocks: Blocks,
+}
+
+impl Schedule {
+    /// Plans `range` for the calling thread's pool. The flag says
+    /// whether the loop is worth a parallel region: a range of at most
+    /// one chunk, or a loop nested inside a region, is one block the
+    /// caller sweeps inline.
+    fn new(range: Range<usize>, grain: usize) -> (Self, bool) {
+        let (grain, chunks) = plan(range.end.saturating_sub(range.start), grain);
+        let parallel = chunks > 1 && current_worker_index().is_none();
+        let workers = if parallel { current_num_threads() } else { 1 };
+        let schedule = Self {
+            start: range.start,
+            end: range.end,
+            grain,
+            blocks: Blocks::new(chunks, workers, crate::fault::steal_storm()),
+        };
+        (schedule, parallel)
+    }
+
+    /// Folds every chunk worker `me` claims into `acc`: its own block
+    /// front to back, then each stolen half front to back, until no
+    /// block has work left.
+    fn sweep<A>(&self, me: usize, mut acc: A, f: impl Fn(A, Range<usize>) -> A) -> A {
+        loop {
+            while let Some(chunk) = self.blocks.claim(me) {
+                crate::telemetry::on_chunk();
+                let start = self.start + chunk as usize * self.grain;
+                acc = f(acc, start..self.end.min(start + self.grain));
+            }
+            if !self.blocks.steal(me) {
+                return acc;
+            }
+            crate::telemetry::on_steal(me);
+        }
+    }
+}
+
+/// Cuts `len` indices into chunks: returns the grain actually used (at
+/// least 1, and coarse enough that the chunk count fits in 32 bits)
+/// and the number of chunks.
+fn plan(len: usize, grain: usize) -> (usize, u32) {
+    let grain = grain.max(1).max(len.div_ceil(MAX_CHUNKS));
+    (grain, len.div_ceil(grain) as u32)
+}
+
+/// Worker blocks of chunk indices. Block `w` holds `front..back` packed
+/// into one word (`front` in the high half), padded to its own cache
+/// line pair so an owner's claims never share a line with another's.
+struct Blocks(Vec<Block>);
+
+#[repr(align(128))]
+struct Block(AtomicU64);
+
+fn pack(front: u32, back: u32) -> u64 {
+    (u64::from(front) << 32) | u64::from(back)
+}
+
+fn unpack(word: u64) -> (u32, u32) {
+    ((word >> 32) as u32, word as u32)
+}
+
+impl Blocks {
+    /// Splits chunks `0..chunks` into `workers` contiguous blocks whose
+    /// sizes differ by at most one. Under an injected steal storm every
+    /// chunk is seeded into worker 0's block instead, so every other
+    /// worker has to steal.
+    fn new(chunks: u32, workers: usize, storm: bool) -> Self {
+        let bound = |w: usize| (u64::from(chunks) * w as u64 / workers as u64) as u32;
+        Self(
+            (0..workers)
+                .map(|w| {
+                    let word = match (storm, w) {
+                        (false, _) => pack(bound(w), bound(w + 1)),
+                        (true, 0) => pack(0, chunks),
+                        (true, _) => pack(chunks, chunks),
+                    };
+                    Block(AtomicU64::new(word))
+                })
+                .collect(),
+        )
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Claims the front chunk of `me`'s block, or `None` when it is
+    /// empty.
+    fn claim(&self, me: usize) -> Option<u32> {
+        let block = &self.0[me].0;
+        let mut word = block.load(Ordering::Acquire);
+        loop {
+            let (front, back) = unpack(word);
+            if front >= back {
+                return None;
+            }
+            match block.compare_exchange_weak(
+                word,
+                pack(front + 1, back),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return Some(front),
+                Err(seen) => word = seen,
+            }
+        }
+    }
+
+    /// Takes the back half of the fullest other block and makes it the
+    /// block of `me`, whose own block must be empty. Returns `false`
+    /// once every other block is empty.
+    ///
+    /// A block's word is its whole state, so a cut whose CAS finds the
+    /// word it read is valid even if the block was emptied and refilled
+    /// in between: thieves never cut an empty block, and only its owner
+    /// refills it.
+    fn steal(&self, me: usize) -> bool {
+        loop {
+            let mut victim = None;
+            let mut most = 0;
+            for (w, block) in self.0.iter().enumerate() {
+                let word = block.0.load(Ordering::Acquire);
+                let (front, back) = unpack(word);
+                if w != me && back.saturating_sub(front) > most {
+                    most = back - front;
+                    victim = Some((w, word));
+                }
+            }
+            let Some((w, word)) = victim else {
+                return false;
+            };
+            let (front, back) = unpack(word);
+            let mid = front + (back - front) / 2;
+            let cut = self.0[w].0.compare_exchange(
+                word,
+                pack(front, mid),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            );
+            if cut.is_ok() {
+                self.0[me].0.store(pack(mid, back), Ordering::Release);
+                return true;
+            }
+        }
+    }
 }
 
 /// Runs `f(offset, chunk)` over disjoint `grain`-sized chunks of `data`.
@@ -206,7 +349,6 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn parallel_for_covers_every_index_once() {
@@ -296,5 +438,158 @@ mod tests {
         let v = parallel_init(1000, 32, |_| Tracked);
         drop(v);
         assert_eq!(DROPS.load(Ordering::SeqCst), 1000);
+    }
+
+    /// Drives `blocks` the way `Schedule::sweep` does, one step at a
+    /// time on one thread: at each step `pick` chooses which live
+    /// worker moves next. Returns the chunks each worker claimed, in
+    /// claim order, and the number of steals each performed.
+    fn simulate(blocks: &Blocks, mut pick: impl FnMut() -> usize) -> (Vec<Vec<u32>>, Vec<usize>) {
+        let workers = blocks.len();
+        let mut claimed = vec![Vec::new(); workers];
+        let mut steals = vec![0; workers];
+        let mut live: Vec<usize> = (0..workers).collect();
+        while !live.is_empty() {
+            let i = pick() % live.len();
+            let me = live[i];
+            if let Some(chunk) = blocks.claim(me) {
+                claimed[me].push(chunk);
+            } else if blocks.steal(me) {
+                steals[me] += 1;
+            } else {
+                live.swap_remove(i);
+            }
+        }
+        (claimed, steals)
+    }
+
+    fn lcg(seed: u64) -> impl FnMut() -> usize {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize
+        }
+    }
+
+    #[test]
+    fn every_chunk_is_claimed_exactly_once_under_any_interleaving() {
+        let seeds = if cfg!(miri) { 2 } else { 64 };
+        for seed in 0..seeds {
+            for workers in 1..=5 {
+                for chunks in [0, 1, 2, 7, 100, 1000] {
+                    for storm in [false, true] {
+                        let blocks = Blocks::new(chunks, workers, storm);
+                        let (claimed, _) = simulate(&blocks, lcg(seed));
+                        let mut all: Vec<u32> = claimed.concat();
+                        all.sort_unstable();
+                        assert_eq!(
+                            all,
+                            (0..chunks).collect::<Vec<_>>(),
+                            "seed {seed}, {workers} workers, {chunks} chunks, storm {storm}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn without_steals_each_worker_sweeps_its_own_block_in_order() {
+        let (chunks, workers) = (10, 3);
+        let blocks = Blocks::new(chunks, workers, false);
+        let swept: Vec<Vec<u32>> = (0..workers)
+            .map(|w| std::iter::from_fn(|| blocks.claim(w)).collect())
+            .collect();
+        // Contiguous blocks in worker order, sizes differing by at most
+        // one, each claimed front to back.
+        assert_eq!(swept, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8, 9]]);
+        assert!((0..workers).all(|w| !blocks.steal(w)));
+    }
+
+    #[test]
+    fn a_steal_takes_the_back_half_of_the_fullest_block_in_order() {
+        let blocks = Blocks::new(12, 3, false);
+        // Worker 0 claims one chunk of 0..4; worker 2 drains 8..12.
+        assert_eq!(blocks.claim(0), Some(0));
+        while blocks.claim(2).is_some() {}
+        // Worker 1's block 4..8 is now the fullest (4 chunks vs 3).
+        assert!(blocks.steal(2));
+        assert_eq!(unpack(blocks.0[1].0.load(Ordering::Relaxed)), (4, 6));
+        let stolen: Vec<u32> = std::iter::from_fn(|| blocks.claim(2)).collect();
+        assert_eq!(stolen, vec![6, 7]);
+        // The owner keeps sweeping its front half, in order.
+        let kept: Vec<u32> = std::iter::from_fn(|| blocks.claim(1)).collect();
+        assert_eq!(kept, vec![4, 5]);
+        // A single remaining chunk can be stolen whole.
+        let blocks = Blocks::new(2, 2, false);
+        assert_eq!(blocks.claim(1), Some(1));
+        assert!(blocks.steal(1));
+        assert_eq!(blocks.claim(1), Some(0));
+        assert_eq!(blocks.claim(0), None);
+    }
+
+    #[test]
+    fn a_steal_storm_seeds_every_chunk_into_worker_zero() {
+        let blocks = Blocks::new(9, 3, true);
+        assert_eq!(blocks.claim(1), None);
+        assert_eq!(blocks.claim(2), None);
+        let (claimed, steals) = simulate(&blocks, lcg(7));
+        assert_eq!(claimed.concat().len(), 9);
+        assert!(steals[1] + steals[2] > 0, "thieves must steal: {steals:?}");
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_range_of_more_than_u32_max_chunks_coarsens_the_grain() {
+        let len = 1usize << 33;
+        let (grain, chunks) = plan(len, 1);
+        assert!(grain >= 2);
+        assert!(chunks as usize * grain >= len);
+        assert!((chunks as usize - 1) * grain < len);
+        let schedule = Schedule {
+            start: 0,
+            end: len,
+            grain,
+            blocks: Blocks::new(chunks, 2, true),
+        };
+        // Worker 1 steals the back half of the whole range, then sweeps
+        // it; only its first chunk is folded before it stops.
+        assert!(schedule.blocks.steal(1));
+        let mid = chunks / 2;
+        assert_eq!(schedule.blocks.claim(1), Some(mid));
+        assert_eq!(
+            unpack(schedule.blocks.0[1].0.load(Ordering::Relaxed)),
+            (mid + 1, chunks)
+        );
+        // The last chunk ends exactly at the end of the range.
+        let last = (chunks as usize - 1) * grain;
+        assert_eq!(schedule.end.min(last + grain), len);
+    }
+
+    #[test]
+    fn the_grain_stays_at_least_one() {
+        assert_eq!(plan(10, 0), (1, 10));
+        assert_eq!(plan(0, 0), (1, 0));
+        assert_eq!(plan(10, 4), (4, 3));
+        let hits = AtomicU64::new(0);
+        parallel_for(0..10, 0, |r| {
+            assert_eq!(r.len(), 1);
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 10);
+    }
+
+    #[test]
+    fn nested_loops_sweep_inline_in_order() {
+        let pool = crate::ThreadPool::new(2);
+        crate::with_pool(&pool, || {
+            crate::broadcast_current(&|_| {
+                let seen = parking_lot::Mutex::new(Vec::new());
+                parallel_for(0..100, 10, |r| seen.lock().push(r.start));
+                assert_eq!(*seen.lock(), (0..100).step_by(10).collect::<Vec<_>>());
+            });
+        });
     }
 }

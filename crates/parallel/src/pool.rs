@@ -10,7 +10,7 @@
 //! worker. All higher-level operations (chunked loops, reductions,
 //! dynamic task pools) are built from this single primitive plus shared
 //! atomics, mirroring how the paper's Cilk runtime distributes chunks of
-//! a shared work queue among threads.
+//! a loop among threads.
 
 use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
@@ -67,6 +67,10 @@ struct RegionSlot {
 
 struct Shared {
     num_threads: usize,
+    /// Held by the caller for the whole of a top-level region, so that
+    /// OS threads sharing the pool run their regions one after another
+    /// instead of overwriting each other's job in `slot`.
+    region: Mutex<()>,
     slot: Mutex<RegionSlot>,
     /// Workers sleep here between regions.
     work_cv: Condvar,
@@ -211,6 +215,7 @@ impl ThreadPool {
         let num_threads = num_threads.clamp(1, 256);
         let shared = Arc::new(Shared {
             num_threads,
+            region: Mutex::new(()),
             slot: Mutex::new(RegionSlot {
                 epoch: 0,
                 job: None,
@@ -251,7 +256,10 @@ impl ThreadPool {
     ///
     /// Nested calls from inside a region run `f` inline on the current
     /// worker instead of deadlocking, so parallel operations compose
-    /// (they merely lose parallelism when nested).
+    /// (they merely lose parallelism when nested). Top-level calls from
+    /// several OS threads at once queue up: each region gets the whole
+    /// pool in turn. So a region must not wait on another OS thread
+    /// that starts a region on the same pool.
     ///
     /// # Panics
     ///
@@ -268,6 +276,7 @@ impl ThreadPool {
             f(WorkerId(current));
             return;
         }
+        let _region = self.shared.region.lock();
         crate::telemetry::on_region();
         crate::fault::on_region();
         if self.shared.num_threads == 1 {
@@ -290,7 +299,7 @@ impl ThreadPool {
 
         {
             let mut slot = self.shared.slot.lock();
-            debug_assert!(slot.job.is_none(), "overlapping parallel regions");
+            debug_assert!(slot.job.is_none(), "the region lock admits one job");
             slot.epoch += 1;
             slot.job = Some(job);
             slot.remaining = self.shared.num_threads - 1;

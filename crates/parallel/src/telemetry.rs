@@ -105,11 +105,10 @@ pub(crate) fn on_busy(worker: usize, nanos: u64) {
 pub struct PoolSnapshot {
     /// Parallel regions broadcast to the pool.
     pub regions: u64,
-    /// Chunks grabbed from shared-counter loops plus pieces processed
-    /// by the stealing scheduler.
+    /// Chunks claimed by the chunked loops.
     pub chunks: u64,
-    /// Successful steals in the work-stealing scheduler, summed over
-    /// workers (see [`steals_per_worker`](Self::steals_per_worker) for
+    /// Block halves taken by idle workers in the chunked loops, summed
+    /// over workers (see [`steals_per_worker`](Self::steals_per_worker) for
     /// the split).
     pub steals: u64,
     /// Dynamic tasks executed.

@@ -5,16 +5,18 @@
 //! the global telemetry/timeline gates, which the library's unit tests
 //! assume stay off.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, Once};
 
-use egraph_parallel::stealing::stealing_for;
-use egraph_parallel::telemetry;
+use egraph_parallel::fault::{FaultGuard, FaultPlan};
 use egraph_parallel::timeline::{self, SpanKind};
+use egraph_parallel::{parallel_for, telemetry};
 
-/// Serializes the tests that flip the process-global telemetry gate, so
-/// one test's `enable()` (which zeroes the counters) cannot wipe the
-/// counts another test is accumulating.
-static TELEMETRY_GATE: Mutex<()> = Mutex::new(());
+/// Serializes the tests, which all flip a process-global gate: one
+/// test's telemetry `enable()` zeroes the counters another test is
+/// accumulating, and one test's timeline `reset()` or `disable()` drops
+/// the spans another test is recording.
+static GATE: Mutex<()> = Mutex::new(());
 
 /// Pins the global pool to 4 workers before any test touches it, so
 /// the per-worker assertions are meaningful regardless of host size.
@@ -29,6 +31,7 @@ fn init() {
 #[test]
 fn timeline_records_region_spans_per_worker() {
     init();
+    let _gate = GATE.lock().unwrap();
     timeline::enable();
     timeline::reset();
     egraph_parallel::parallel_for(0..100_000, 1024, |_r| {
@@ -68,6 +71,7 @@ fn timeline_records_region_spans_per_worker() {
 #[test]
 fn chrome_trace_export_has_tracks_and_directions() {
     init();
+    let _gate = GATE.lock().unwrap();
     timeline::enable();
     {
         let _step = timeline::span(SpanKind::Step, "export_step", "pull");
@@ -96,18 +100,20 @@ fn chrome_trace_export_has_tracks_and_directions() {
     assert!(json.contains("\"dur\":"));
 }
 
-#[test]
-fn skewed_workload_shows_up_in_steals_and_imbalance() {
-    init();
-    let _gate = TELEMETRY_GATE.lock().unwrap();
-    telemetry::enable();
-    // All the real work sits in the first quarter of the range — the
-    // slice seeded to worker 0's deque — so the other workers run dry
-    // immediately and must steal to contribute.
-    let n = 4_096;
-    stealing_for(0..n, 16, |piece| {
+/// A loop over `0..n` whose first quarter (worker 0's block on a
+/// 4-worker pool) carries all the work. Worker 0 holds its first chunk
+/// until another worker has run a heavy one, which that worker can only
+/// have stolen, so the skew shows whatever the host's load.
+fn skewed_loop(n: usize) {
+    let stolen = AtomicBool::new(false);
+    parallel_for(0..n, 16, |piece| {
+        let me = egraph_parallel::current_worker_index().expect("inside a region");
         for i in piece {
             if i < n / 4 {
+                stolen.fetch_or(me != 0, Ordering::SeqCst);
+                while i == 0 && !stolen.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
                 let mut x = i as u64 + 1;
                 for _ in 0..20_000 {
                     x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -116,6 +122,17 @@ fn skewed_workload_shows_up_in_steals_and_imbalance() {
             }
         }
     });
+}
+
+#[test]
+fn skewed_workload_shows_up_in_steals_and_imbalance() {
+    init();
+    let _gate = GATE.lock().unwrap();
+    telemetry::enable();
+    // All the real work sits in the first quarter of the range — worker
+    // 0's block — so the other workers sweep their cheap blocks at once
+    // and must steal to contribute.
+    skewed_loop(4_096);
     telemetry::disable();
 
     let snap = telemetry::snapshot();
@@ -126,8 +143,8 @@ fn skewed_workload_shows_up_in_steals_and_imbalance() {
         "a skewed workload must force steals, got {:?}",
         snap.steals_per_worker
     );
-    // The thieves are the workers whose seeded slices were cheap, not
-    // the one that owned the heavy quarter from the start.
+    // The thieves are the workers whose blocks were cheap, not the one
+    // that owned the heavy quarter from the start.
     let thieves = snap
         .steals_per_worker
         .iter()
@@ -139,34 +156,58 @@ fn skewed_workload_shows_up_in_steals_and_imbalance() {
         "expected at least one non-owner worker to steal, got {:?}",
         snap.steals_per_worker
     );
-    // Work stealing rebalances execution, but the imbalance metric is
-    // still well-formed over the same run.
+    // Stealing rebalances execution, but the imbalance metric is still
+    // well-formed over the same run.
     assert!(snap.load_imbalance() >= 1.0);
     assert!(snap.total_busy_seconds() > 0.0);
 }
 
 #[test]
+fn steal_storm_makes_every_other_worker_steal() {
+    init();
+    let _gate = GATE.lock().unwrap();
+    let _storm = FaultGuard::install(FaultPlan::new(1).steal_storm());
+    telemetry::enable();
+    // Every chunk starts in worker 0's block. Each worker holds its
+    // first chunk until every worker has one, so no worker can sweep
+    // the whole range before the others wake up; the others' chunks can
+    // only have been stolen.
+    let ran: Vec<AtomicBool> = (0..4).map(|_| AtomicBool::new(false)).collect();
+    let sum = egraph_parallel::parallel_reduce(
+        0..1_024,
+        1,
+        || 0u64,
+        |acc, r| {
+            let me = egraph_parallel::current_worker_index().expect("inside a region");
+            ran[me].store(true, Ordering::SeqCst);
+            while !ran.iter().all(|w| w.load(Ordering::SeqCst)) {
+                std::thread::yield_now();
+            }
+            acc + r.map(|i| i as u64).sum::<u64>()
+        },
+        |a, b| a + b,
+    );
+    telemetry::disable();
+    assert_eq!(sum, 1_023 * 1_024 / 2);
+    let snap = telemetry::snapshot();
+    assert!(
+        snap.steals_per_worker[1..].iter().all(|&s| s > 0),
+        "every worker but 0 starts empty and must steal, got {:?}",
+        snap.steals_per_worker
+    );
+}
+
+#[test]
 fn enable_resets_per_worker_steal_counters_between_runs() {
     init();
-    let _gate = TELEMETRY_GATE.lock().unwrap();
+    let _gate = GATE.lock().unwrap();
 
     // Run 1: the same skewed workload as above forces steals. The pool
     // is persistent (and reusable after panics since the fault-injection
     // work), so these counts would survive into the next run if enable()
     // did not open a fresh window.
     telemetry::enable();
-    let n = 4_096;
-    stealing_for(0..n, 16, |piece| {
-        for i in piece {
-            if i < n / 4 {
-                let mut x = i as u64 + 1;
-                for _ in 0..20_000 {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                }
-                std::hint::black_box(x);
-            }
-        }
-    });
+    skewed_loop(4_096);
     telemetry::disable();
     let first = telemetry::snapshot();
     assert!(
@@ -175,10 +216,11 @@ fn enable_resets_per_worker_steal_counters_between_runs() {
         first.steals_per_worker
     );
 
-    // Run 2 on the SAME pool: a perfectly balanced workload. A fresh
-    // collection window must show zero steals — not run 1's leftovers.
+    // Run 2 on the SAME pool: a region with no loop in it, which cannot
+    // steal. A fresh collection window must show zero steals — not run
+    // 1's leftovers.
     telemetry::enable();
-    egraph_parallel::parallel_for(0..1_000, 64, |_r| {
+    egraph_parallel::broadcast_current(&|_| {
         std::hint::black_box(0u64);
     });
     telemetry::disable();
