@@ -88,7 +88,8 @@ impl BfsState {
     }
 }
 
-/// Push rule claiming destinations with a compare-and-swap.
+/// Push rule claiming destinations with a compare-and-swap on their
+/// level, and picking parents with a write-min (Ligra's `writeMin`).
 struct AtomicPushOp<'a> {
     state: &'a BfsState,
 }
@@ -99,22 +100,23 @@ impl<E: EdgeRecord> PushOp<E> for AtomicPushOp<'_> {
     #[inline]
     fn push(&self, e: &E) -> bool {
         let dst = e.dst() as usize;
-        if self.state.parent[dst].load(Ordering::Relaxed) != INVALID_VERTEX {
-            return false;
+        let round = self.state.round.load(Ordering::Relaxed);
+        let level = self.state.level[dst].load(Ordering::Relaxed);
+        if level < round {
+            return false; // discovered in an earlier round
         }
-        let won = self.state.parent[dst]
-            .compare_exchange(
-                INVALID_VERTEX,
-                e.src(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            )
-            .is_ok();
-        if won {
-            self.state.level[dst]
-                .store(self.state.round.load(Ordering::Relaxed), Ordering::Relaxed);
+        // Every frontier vertex with an edge to `dst` gets here in this
+        // round, so `dst` ends up with the smallest of them as parent,
+        // whichever worker runs first: parents do not depend on
+        // scheduling.
+        let parent = &self.state.parent[dst];
+        if e.src() < parent.load(Ordering::Relaxed) {
+            parent.fetch_min(e.src(), Ordering::Relaxed);
         }
-        won
+        level == u32::MAX
+            && self.state.level[dst]
+                .compare_exchange(u32::MAX, round, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
     }
 
     #[inline]
@@ -199,12 +201,17 @@ pub fn push_locked<E: EdgeRecord, L: VertexLayout<E>>(adj: &L, root: VertexId) -
                 // lock of `dst`, so the element is never accessed
                 // concurrently.
                 unsafe {
-                    if self.parent.read(dst as usize) != INVALID_VERTEX {
+                    let level = self.level.read(dst as usize);
+                    if level < self.round {
                         return false;
                     }
-                    self.parent.write(dst as usize, e.src());
+                    // The smallest frontier neighbor is the parent, as
+                    // in the atomic rule.
+                    if e.src() < self.parent.read(dst as usize) {
+                        self.parent.write(dst as usize, e.src());
+                    }
                     self.level.write(dst as usize, self.round);
-                    true
+                    level == u32::MAX
                 }
             })
         }
@@ -956,6 +963,33 @@ mod tests {
         // fourth finds an empty next frontier.
         assert_eq!(recorded[0].frontier_size, 1);
         assert_eq!(recorded[0].edges_scanned, 2);
+    }
+
+    #[test]
+    fn push_rules_pick_the_smallest_frontier_neighbor_as_parent() {
+        let input = test_graph(2000, 16000, 7);
+        let (adj, cells) = layouts(&input);
+        let pool = egraph_parallel::ThreadPool::new(2);
+        let results = egraph_parallel::with_pool(&pool, || {
+            [
+                push(&adj, 0),
+                push_locked(&adj, 0),
+                edge_centric(&input, 0),
+                grid(&cells, 0),
+            ]
+        });
+        for (i, result) in results.iter().enumerate() {
+            let level = &result.level;
+            let mut want = vec![INVALID_VERTEX; level.len()];
+            want[0] = 0;
+            for e in input.edges() {
+                let (u, v) = (e.src() as usize, e.dst() as usize);
+                if level[u] != u32::MAX && level[v] == level[u] + 1 {
+                    want[v] = want[v].min(e.src());
+                }
+            }
+            assert_eq!(result.parent, want, "rule {i}");
+        }
     }
 
     #[test]

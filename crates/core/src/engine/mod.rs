@@ -183,7 +183,12 @@ where
         };
     match frontier {
         VertexSubset::Sparse(list) => {
-            egraph_parallel::parallel_for(0..list.len(), 64, |r| {
+            // A frontier of up to 256 vertices runs inline on the
+            // caller: long-diameter traversals (road graphs, serve
+            // waves) run ~1000 such steps, where waking the pool and
+            // merging per-worker buffers every step costs more than the
+            // step itself.
+            egraph_parallel::parallel_for(0..list.len(), 256, |r| {
                 let mut sink = next.sink(r.start as u64);
                 let mut examined = 0;
                 for i in r {

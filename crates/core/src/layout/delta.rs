@@ -31,6 +31,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::layout::csr::Adjacency;
 use crate::layout::{NeighborAccess, VertexLayout, SPAN_EDGES};
+use crate::telemetry::json::{self, Value};
 use crate::types::{EdgeList, EdgeRecord, VertexId};
 
 /// One edge mutation in a delta stream.
@@ -137,33 +138,17 @@ impl std::fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-/// Scans `line` for `"key"` and returns the raw token after the colon
-/// (a quoted string's contents, or the bare number/word).
-fn json_token<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\"");
-    let at = line.find(&needle)? + needle.len();
-    let rest = line[at..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.split('"').next()
-    } else {
-        let end = rest
-            .find(|c: char| !(c.is_ascii_alphanumeric() || "+-.eE_".contains(c)))
-            .unwrap_or(rest.len());
-        Some(rest[..end].trim())
+/// Reads a vertex-id field: a non-negative integer that fits in u32.
+fn vertex_field(
+    value: Option<&Value>,
+    field: &'static str,
+    line: usize,
+) -> Result<VertexId, DeltaError> {
+    let value = value.ok_or(DeltaError::MissingField { line, field })?;
+    match value.as_number() {
+        Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= f64::from(u32::MAX) => Ok(n as VertexId),
+        _ => Err(DeltaError::BadField { line, field }),
     }
-}
-
-/// Parses a vertex-id field: a non-negative integer that fits in u32.
-fn json_vertex(line: &str, key: &'static str, line_no: usize) -> Result<VertexId, DeltaError> {
-    let tok = json_token(line, key).ok_or(DeltaError::MissingField {
-        line: line_no,
-        field: key,
-    })?;
-    tok.parse::<u32>().map_err(|_| DeltaError::BadField {
-        line: line_no,
-        field: key,
-    })
 }
 
 /// One batch of delta ops, in stream order.
@@ -201,32 +186,28 @@ impl<E: EdgeRecord> DeltaBatch<E> {
     /// `{"op":"delete","src":3,"dst":9}`. `weight` is optional and
     /// ignored by unweighted edge types.
     pub fn parse_line(line: &str, line_no: usize) -> Result<DeltaOp<E>, DeltaError> {
-        let trimmed = line.trim();
-        if !trimmed.starts_with('{') || !trimmed.ends_with('}') {
-            return Err(DeltaError::NotJson { line: line_no });
-        }
-        let op = json_token(trimmed, "op").ok_or(DeltaError::MissingField {
+        let not_json = DeltaError::NotJson { line: line_no };
+        let value = json::parse(line).map_err(|_| not_json.clone())?;
+        let fields = value.as_object().ok_or(not_json)?;
+        let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        let op = field("op").ok_or(DeltaError::MissingField {
             line: line_no,
             field: "op",
         })?;
-        let src = json_vertex(trimmed, "src", line_no)?;
-        let dst = json_vertex(trimmed, "dst", line_no)?;
-        match op {
+        let src = vertex_field(field("src"), "src", line_no)?;
+        let dst = vertex_field(field("dst"), "dst", line_no)?;
+        let bad = |field| DeltaError::BadField {
+            line: line_no,
+            field,
+        };
+        match op.as_str().ok_or(bad("op"))? {
             "insert" | "add" => {
-                let weight = match json_token(trimmed, "weight") {
-                    Some(tok) => {
-                        let w = tok.parse::<f32>().map_err(|_| DeltaError::BadField {
-                            line: line_no,
-                            field: "weight",
-                        })?;
-                        if !w.is_finite() {
-                            return Err(DeltaError::BadField {
-                                line: line_no,
-                                field: "weight",
-                            });
-                        }
-                        w
-                    }
+                let weight = match field("weight") {
+                    Some(w) => w
+                        .as_number()
+                        .map(|w| w as f32)
+                        .filter(|w| w.is_finite())
+                        .ok_or(bad("weight"))?,
                     None => 1.0,
                 };
                 Ok(DeltaOp::Insert(E::new(src, dst, weight)))
@@ -831,7 +812,7 @@ mod tests {
     use super::*;
     use crate::layout::EdgeDirection;
     use crate::preprocess::{CsrBuilder, Strategy};
-    use crate::types::Edge;
+    use crate::types::{Edge, WEdge};
 
     fn base_graph() -> EdgeList<Edge> {
         EdgeList::new(
@@ -979,6 +960,30 @@ mod tests {
             assert_eq!(
                 DeltaBatch::<Edge>::parse_ndjson(text).unwrap_err(),
                 want,
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn fields_are_keys_not_substrings() {
+        // "src" appears as a string value before the real key.
+        let op =
+            DeltaBatch::<Edge>::parse_line(r#"{"op":"delete","note":"src","src":3,"dst":4}"#, 7);
+        assert_eq!(op, Ok(DeltaOp::Delete { src: 3, dst: 4 }));
+        for (text, field) in [
+            (r#"{"op":"insert","src":1.5,"dst":2}"#, "src"),
+            (r#"{"op":"insert","src":1,"dst":4294967296}"#, "dst"),
+            (r#"{"op":"insert","src":"1","dst":2}"#, "src"),
+            (
+                r#"{"op":"insert","src":1,"dst":2,"weight":1e300}"#,
+                "weight",
+            ),
+            (r#"{"op":7,"src":1,"dst":2}"#, "op"),
+        ] {
+            assert_eq!(
+                DeltaBatch::<WEdge>::parse_line(text, 3),
+                Err(DeltaError::BadField { line: 3, field }),
                 "{text}"
             );
         }

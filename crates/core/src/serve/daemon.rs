@@ -49,7 +49,7 @@
 //!   oldest first: every live daemon can always explain its recent
 //!   queries.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -179,6 +179,11 @@ fn accept_loop(listener: TcpListener, engine: &Arc<ServeEngine>, stop: &Arc<Atom
     }
 }
 
+/// Longest request line the daemon reads, newline included. A longer
+/// line is answered in-band with an error and skipped, so one client
+/// cannot make a connection thread buffer without bound.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
 fn handle_connection(
     stream: TcpStream,
     engine: &ServeEngine,
@@ -189,15 +194,20 @@ fn handle_connection(
     stream.set_read_timeout(Some(Duration::from_millis(250)))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // The line read so far; a timeout keeps it, so a request may arrive
+    // in several segments.
+    let mut line = Vec::new();
+    // Set while skipping the rest of an over-long line.
+    let mut skipping = false;
     loop {
         if stop.load(Ordering::Relaxed) {
             return Ok(());
         }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client closed
-            Ok(_) => {}
+        // One byte past the cap tells an over-long line from a full one.
+        let room = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
+        let closed = match reader.by_ref().take(room).read_until(b'\n', &mut line) {
+            Ok(0) => true, // client closed
+            Ok(_) => false,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -205,27 +215,47 @@ fn handle_connection(
                 continue
             }
             Err(e) => return Err(e),
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        // HTTP probes reuse the query port: answer one request and
-        // close, exactly what a load balancer (or curl) expects.
-        if trimmed.starts_with("GET ") {
-            let path = trimmed.split_whitespace().nth(1).unwrap_or("/healthz");
-            let (status, content_type, body) = http_get(path, engine);
-            let response = format!(
-                "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len()
-            );
+        };
+        let complete = line.last() == Some(&b'\n');
+        let too_long = line.len() > MAX_REQUEST_BYTES;
+        let response = if skipping {
+            None
+        } else if too_long {
+            let message = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
+            Some(error_response("null", &message))
+        } else if complete || closed {
+            match std::str::from_utf8(&line).map(str::trim) {
+                Ok("") => None,
+                // HTTP probes reuse the query port: answer one request
+                // and close, exactly what a load balancer (or curl)
+                // expects.
+                Ok(get) if get.starts_with("GET ") => {
+                    let path = get.split_whitespace().nth(1).unwrap_or("/healthz");
+                    let (status, content_type, body) = http_get(path, engine);
+                    let response = format!(
+                        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                        body.len()
+                    );
+                    writer.write_all(response.as_bytes())?;
+                    return writer.flush();
+                }
+                Ok(request) => Some(answer(request, engine)),
+                Err(_) => Some(error_response("null", "request is not valid UTF-8")),
+            }
+        } else {
+            continue; // the rest of the line is still in flight
+        };
+        // An over-long line is answered once, then skipped to its end.
+        skipping = (skipping || too_long) && !complete;
+        line.clear();
+        if let Some(response) = response {
             writer.write_all(response.as_bytes())?;
-            return writer.flush();
+            writer.write_all(b"\n")?;
+            writer.flush()?;
         }
-        let response = answer(trimmed, engine);
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        if closed {
+            return Ok(());
+        }
     }
 }
 
@@ -511,6 +541,79 @@ mod tests {
             .contains("weighted"));
         let response = roundtrip(daemon.addr(), "not json at all");
         assert_eq!(get_field(&response, "ok"), &Value::Bool(false));
+        daemon.shutdown();
+    }
+
+    /// Sends `requests` on one connection, one line each, and returns
+    /// one parsed response per request.
+    fn session(addr: std::net::SocketAddr, requests: &[&str]) -> Vec<Value> {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        requests
+            .iter()
+            .map(|request| {
+                stream.write_all(request.as_bytes()).unwrap();
+                stream.write_all(b"\n").unwrap();
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("response line");
+                json::parse(line.trim()).expect("valid json response")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn deeply_nested_request_is_an_error_and_the_connection_survives() {
+        let daemon = daemon_on_chain(8);
+        // 20 KB: under the line cap, far past the nesting cap.
+        let deep = "[".repeat(10_000) + &"]".repeat(10_000);
+        let responses = session(
+            daemon.addr(),
+            &[&deep, r#"{"id":2,"algo":"bfs","source":0}"#],
+        );
+        assert_eq!(get_field(&responses[0], "ok"), &Value::Bool(false));
+        assert!(get_field(&responses[0], "error")
+            .as_str()
+            .unwrap()
+            .contains("nesting deeper than"));
+        assert_eq!(get_field(&responses[1], "ok"), &Value::Bool(true));
+        assert_eq!(get_field(&responses[1], "reachable").as_number(), Some(8.0));
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn request_split_across_a_read_timeout_is_answered() {
+        let daemon = daemon_on_chain(8);
+        let mut stream = TcpStream::connect(daemon.addr()).expect("connect");
+        stream.write_all(br#"{"id":5,"algo":"#).unwrap();
+        // Longer than the handler's 250 ms read timeout.
+        std::thread::sleep(std::time::Duration::from_millis(400));
+        stream.write_all(b"\"bfs\",\"source\":0}\n").unwrap();
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        let response = json::parse(line.trim()).expect("valid json response");
+        assert_eq!(get_field(&response, "ok"), &Value::Bool(true), "{line}");
+        assert_eq!(get_field(&response, "id").as_number(), Some(5.0));
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn over_long_request_line_is_an_error_and_the_connection_survives() {
+        let daemon = daemon_on_chain(8);
+        let long = format!(
+            r#"{{"id":1,"algo":"bfs","source":0,"pad":"{}"}}"#,
+            "x".repeat(3 * MAX_REQUEST_BYTES)
+        );
+        let responses = session(
+            daemon.addr(),
+            &[&long, r#"{"id":2,"algo":"bfs","source":0}"#],
+        );
+        assert_eq!(get_field(&responses[0], "ok"), &Value::Bool(false));
+        assert!(get_field(&responses[0], "error")
+            .as_str()
+            .unwrap()
+            .contains("longer than"));
+        assert_eq!(get_field(&responses[1], "ok"), &Value::Bool(true));
+        assert_eq!(get_field(&responses[1], "id").as_number(), Some(2.0));
         daemon.shutdown();
     }
 

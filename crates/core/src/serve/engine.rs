@@ -6,9 +6,9 @@
 //! pending entry and wakes the scheduler. The scheduler waits up to the
 //! configured batching window for more same-kind queries (or until
 //! [`ServeConfig::max_wave`] are pending), extracts them as one wave,
-//! runs the matching multi-source kernel from [`super::wave`] under the
-//! engine's thread pool, and sends each lane's result back through the
-//! per-query channel. Callers block on their receiver — typically one
+//! answers it with one multi-source traversal ([`super::wave`]) under
+//! the engine's thread pool, and sends each lane's result back through
+//! the per-query channel. Callers block on their receiver — typically one
 //! connection-handler thread per client — so the engine is naturally
 //! concurrent without any async machinery.
 
@@ -32,7 +32,7 @@ use crate::types::{Edge, EdgeList, VertexId, WEdge};
 use crate::variant::{default_grid_side, Algo, Layout, VariantError};
 
 use super::journal::{EventOutcome, QueryEvent, QueryJournal};
-use super::wave::{multi_bfs, multi_bfs_grid, multi_sssp, multi_sssp_grid, MAX_WAVE};
+use super::wave::{self, OutEdges, MAX_WAVE};
 
 /// Tuning knobs for the serve engine.
 #[derive(Debug, Clone)]
@@ -1011,68 +1011,27 @@ impl WaveRunner<'_> {
         let ctx = ExecCtx::new(self.pool);
         let phase = self.perf.phase();
         let started = Instant::now();
-        let mut results: Vec<QueryValues> = ctx.scoped(|| match (kind, resident) {
-            (QueryKind::Sssp, Resident::AdjWeighted(adj)) => multi_sssp(adj.out(), &sources, &ctx)
-                .into_iter()
-                .map(QueryValues::Dists)
-                .collect(),
-            (QueryKind::Sssp, Resident::CcsrWeighted(ccsr)) => {
-                multi_sssp(ccsr.out(), &sources, &ctx)
-                    .into_iter()
-                    .map(QueryValues::Dists)
-                    .collect()
+        let mut results = ctx.scoped(|| match resident {
+            Resident::AdjUnweighted(adj) => {
+                wave::answer(&OutEdges(adj.out()), kind, &sources, max_depth, &ctx)
             }
-            (QueryKind::Sssp, Resident::GridWeighted(grid)) => {
-                multi_sssp_grid(grid, &sources, &ctx)
-                    .into_iter()
-                    .map(QueryValues::Dists)
-                    .collect()
+            Resident::AdjWeighted(adj) => {
+                wave::answer(&OutEdges(adj.out()), kind, &sources, max_depth, &ctx)
             }
-            (QueryKind::Sssp, Resident::DeltaWeighted(dl)) => multi_sssp(dl.out(), &sources, &ctx)
-                .into_iter()
-                .map(QueryValues::Dists)
-                .collect(),
-            (
-                QueryKind::Sssp,
-                Resident::AdjUnweighted(_)
-                | Resident::GridUnweighted(_)
-                | Resident::CcsrUnweighted(_)
-                | Resident::DeltaUnweighted(_),
-            ) => {
-                unreachable!("submit rejects sssp on unweighted graphs")
+            Resident::CcsrUnweighted(ccsr) => {
+                wave::answer(&OutEdges(ccsr.out()), kind, &sources, max_depth, &ctx)
             }
-            (_, Resident::AdjUnweighted(adj)) => multi_bfs(adj.out(), &sources, max_depth, &ctx)
-                .into_iter()
-                .map(QueryValues::Levels)
-                .collect(),
-            (_, Resident::AdjWeighted(adj)) => multi_bfs(adj.out(), &sources, max_depth, &ctx)
-                .into_iter()
-                .map(QueryValues::Levels)
-                .collect(),
-            (_, Resident::CcsrUnweighted(ccsr)) => multi_bfs(ccsr.out(), &sources, max_depth, &ctx)
-                .into_iter()
-                .map(QueryValues::Levels)
-                .collect(),
-            (_, Resident::CcsrWeighted(ccsr)) => multi_bfs(ccsr.out(), &sources, max_depth, &ctx)
-                .into_iter()
-                .map(QueryValues::Levels)
-                .collect(),
-            (_, Resident::GridUnweighted(grid)) => multi_bfs_grid(grid, &sources, max_depth, &ctx)
-                .into_iter()
-                .map(QueryValues::Levels)
-                .collect(),
-            (_, Resident::GridWeighted(grid)) => multi_bfs_grid(grid, &sources, max_depth, &ctx)
-                .into_iter()
-                .map(QueryValues::Levels)
-                .collect(),
-            (_, Resident::DeltaUnweighted(dl)) => multi_bfs(dl.out(), &sources, max_depth, &ctx)
-                .into_iter()
-                .map(QueryValues::Levels)
-                .collect(),
-            (_, Resident::DeltaWeighted(dl)) => multi_bfs(dl.out(), &sources, max_depth, &ctx)
-                .into_iter()
-                .map(QueryValues::Levels)
-                .collect(),
+            Resident::CcsrWeighted(ccsr) => {
+                wave::answer(&OutEdges(ccsr.out()), kind, &sources, max_depth, &ctx)
+            }
+            Resident::DeltaUnweighted(dl) => {
+                wave::answer(&OutEdges(dl.out()), kind, &sources, max_depth, &ctx)
+            }
+            Resident::DeltaWeighted(dl) => {
+                wave::answer(&OutEdges(dl.out()), kind, &sources, max_depth, &ctx)
+            }
+            Resident::GridUnweighted(grid) => wave::answer(grid, kind, &sources, max_depth, &ctx),
+            Resident::GridWeighted(grid) => wave::answer(grid, kind, &sources, max_depth, &ctx),
         });
         let executed = Instant::now();
         let exec_seconds = (executed - started).as_secs_f64();

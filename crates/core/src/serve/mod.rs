@@ -6,11 +6,11 @@
 //! second against a graph that never changes between requests. The
 //! mechanism that reconciles the two is **query batching**: the
 //! admission queue ([`engine`]) groups up to [`wave::MAX_WAVE`] pending
-//! same-algorithm queries into a wave, and one *multi-source* kernel
-//! ([`wave`]) answers the whole wave with a single shared edge scan —
-//! a bit-packed frontier holds one `u64` lane word per vertex, one bit
-//! per query, so wave cost grows with the union of the frontiers, not
-//! the sum. Per-query results are demuxed on completion and are
+//! same-algorithm queries into a wave, and one *multi-source* push rule
+//! ([`wave`]) on the engine's drivers answers the whole wave with a
+//! single shared edge scan — a bit-packed frontier holds one `u64`
+//! lane word per vertex, one bit per query, so wave cost grows with the
+//! union of the frontiers, not the sum. Per-query results are demuxed on completion and are
 //! bit-identical to their single-query baselines.
 //!
 //! The TCP front-end ([`daemon`]) speaks newline-delimited JSON and
@@ -29,4 +29,4 @@ pub use engine::{
     WavePerfStatus,
 };
 pub use journal::{EventOutcome, QueryEvent, QueryJournal};
-pub use wave::{multi_bfs, multi_sssp, MAX_WAVE};
+pub use wave::MAX_WAVE;

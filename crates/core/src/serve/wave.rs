@@ -1,4 +1,4 @@
-//! Multi-source wave kernels with bit-packed frontiers.
+//! Multi-source waves with bit-packed frontiers.
 //!
 //! One wave answers up to [`MAX_WAVE`] point queries with a *single*
 //! traversal: every vertex carries one `u64` lane word, one bit per
@@ -7,6 +7,13 @@
 //! the fork-processing-patterns line of work applied to the paper's
 //! push kernels.
 //!
+//! A wave is not a traversal engine of its own. [`LaneBfs`] and
+//! [`LaneSssp`] are [`PushOp`]s over the lane words, and one round loop
+//! drives them with the batch jobs' drivers: [`engine::vertex_push`] on
+//! an out-[`NeighborAccess`] (adj, ccsr, delta) and
+//! [`engine::grid_push_cells`] on a grid. Waves therefore share the
+//! drivers' grains and their in-loop `engine.edges_examined` counter.
+//!
 //! Determinism: the per-lane results are bit-identical to the
 //! single-query kernels. BFS levels are exact hop distances (the round
 //! a bit first reaches a vertex), independent of scan order; SSSP
@@ -14,453 +21,368 @@
 //! equations under `f32` `fetch_min`, which is order-independent. The
 //! conformance tests in this module assert both properties.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
+use egraph_cachesim::NullProbe;
 use egraph_parallel::atomicf::AtomicF32;
-use egraph_parallel::{parallel_collect, parallel_for, WorkerLocal};
 
+use super::engine::{QueryKind, QueryValues};
+use crate::engine::{self, PushOp};
 use crate::exec::ExecCtx;
+use crate::frontier::{FrontierKind, VertexSubset};
 use crate::layout::{Grid, NeighborAccess};
-use crate::telemetry::Recorder;
+use crate::telemetry::{ExecContext, Recorder};
 use crate::types::{EdgeRecord, VertexId};
-use crate::util::UnsyncSlice;
 
 /// Lane capacity of one wave: the width of the frontier word.
 pub const MAX_WAVE: usize = 64;
 
-/// Chunk grain for the per-round scans.
-const GRAIN: usize = 256;
-
 /// Telemetry counter: wave rounds executed.
 pub const WAVE_ROUNDS: &str = "serve.wave_rounds";
-/// Telemetry counter: edges examined across all wave rounds.
-pub const WAVE_EDGES: &str = "serve.wave_edges";
 
-/// Multi-source BFS over any out-[`NeighborAccess`] (uncompressed CSR
-/// or ccsr): one lane per source, levels truncated at `max_depth`
-/// rounds (pass `u32::MAX` for a full traversal). Returns one level
-/// vector per source, `u32::MAX` marking vertices not reached within
-/// the depth bound.
+/// A resident layout a wave can traverse, one engine push round at a
+/// time.
+pub trait WaveGraph<E: EdgeRecord> {
+    /// Whether a round reads the lane words of sources outside the
+    /// frontier, so a vertex's word must be cleared when it leaves the
+    /// frontier.
+    const SCANS_ALL_SOURCES: bool;
+
+    /// Number of vertices.
+    fn num_vertices(&self) -> usize;
+
+    /// Applies `op` to the out-edges of `frontier` and returns the
+    /// vertices it activated.
+    fn push_round<O: PushOp<E>, R: Recorder>(
+        &self,
+        frontier: &VertexSubset,
+        op: &O,
+        ctx: ExecContext<'_, NullProbe, R>,
+    ) -> VertexSubset;
+}
+
+/// Vertex-centric waves over an out-[`NeighborAccess`] (uncompressed
+/// CSR, ccsr or a delta list).
+pub struct OutEdges<'g, A>(pub &'g A);
+
+impl<E: EdgeRecord, A: NeighborAccess<E>> WaveGraph<E> for OutEdges<'_, A> {
+    const SCANS_ALL_SOURCES: bool = false;
+
+    fn num_vertices(&self) -> usize {
+        self.0.num_vertices()
+    }
+
+    fn push_round<O: PushOp<E>, R: Recorder>(
+        &self,
+        frontier: &VertexSubset,
+        op: &O,
+        ctx: ExecContext<'_, NullProbe, R>,
+    ) -> VertexSubset {
+        engine::vertex_push(self.0, frontier, op, ctx, FrontierKind::Sparse)
+    }
+}
+
+/// Grid waves: the grid has no per-vertex neighbor index, so every
+/// round scans all cells and [`PushOp::source_active`] skips edges
+/// whose source holds no active lane.
+impl<E: EdgeRecord> WaveGraph<E> for Grid<E> {
+    const SCANS_ALL_SOURCES: bool = true;
+
+    fn num_vertices(&self) -> usize {
+        Grid::num_vertices(self)
+    }
+
+    fn push_round<O: PushOp<E>, R: Recorder>(
+        &self,
+        _frontier: &VertexSubset,
+        op: &O,
+        ctx: ExecContext<'_, NullProbe, R>,
+    ) -> VertexSubset {
+        engine::grid_push_cells(self, op, ctx, FrontierKind::Sparse)
+    }
+}
+
+/// Answers one wave of same-kind queries, one lane per source: levels
+/// for BFS and k-hop (truncated at `max_depth` rounds), distances for
+/// SSSP.
+pub fn answer<E: EdgeRecord, G: WaveGraph<E>>(
+    graph: &G,
+    kind: QueryKind,
+    sources: &[VertexId],
+    max_depth: u32,
+    ctx: &ExecCtx<'_>,
+) -> Vec<QueryValues> {
+    match kind {
+        QueryKind::Bfs | QueryKind::KHop => bfs(graph, sources, max_depth, ctx)
+            .into_iter()
+            .map(QueryValues::Levels)
+            .collect(),
+        QueryKind::Sssp => sssp(graph, sources, ctx)
+            .into_iter()
+            .map(QueryValues::Dists)
+            .collect(),
+    }
+}
+
+/// Multi-source BFS: one lane per source, levels truncated at
+/// `max_depth` rounds (pass `u32::MAX` for a full traversal). Returns
+/// one level vector per source, `u32::MAX` marking vertices not reached
+/// within the depth bound.
 ///
 /// # Panics
 ///
 /// Panics if `sources` is empty, longer than [`MAX_WAVE`], or contains
 /// an out-of-range vertex — the serve engine validates queries before
 /// forming waves.
-pub fn multi_bfs<E: EdgeRecord, A: NeighborAccess<E>>(
-    out: &A,
+pub fn bfs<E: EdgeRecord, G: WaveGraph<E>>(
+    graph: &G,
     sources: &[VertexId],
     max_depth: u32,
     ctx: &ExecCtx<'_>,
 ) -> Vec<Vec<u32>> {
-    let nv = out.num_vertices();
-    let lanes = sources.len();
-    assert!(
-        (1..=MAX_WAVE).contains(&lanes),
-        "wave size {lanes} outside 1..={MAX_WAVE}"
-    );
-    let mut levels = vec![u32::MAX; nv * lanes];
-    let recorder = ctx.context();
-    let recorder = recorder.recorder;
-
-    {
-        let visited: Vec<AtomicU64> = (0..nv).map(|_| AtomicU64::new(0)).collect();
-        let next: Vec<AtomicU64> = (0..nv).map(|_| AtomicU64::new(0)).collect();
-        let mut frontier_words: Vec<u64> = vec![0; nv];
-        let level_cells = UnsyncSlice::new(&mut levels);
-
-        // Seed the lanes. Duplicate sources coexist: each lane tracks
-        // its own bit.
-        let mut active: Vec<VertexId> = Vec::with_capacity(lanes);
-        for (q, &s) in sources.iter().enumerate() {
-            let v = s as usize;
-            assert!(v < nv, "source {s} out of range ({nv} vertices)");
-            // SAFETY: seeding runs before any parallel region.
-            unsafe { level_cells.write(v * lanes + q, 0) };
-            if visited[v].fetch_or(1 << q, Ordering::Relaxed) == 0 {
-                active.push(s);
-            }
-            frontier_words[v] |= 1 << q;
-        }
-
-        let mut depth = 0u32;
-        let mut edges_examined = 0u64;
-        let mut rounds = 0u64;
-        while !active.is_empty() && depth < max_depth {
-            depth += 1;
-            rounds += 1;
-            if recorder.enabled() {
-                edges_examined += active.iter().map(|&v| out.degree(v) as u64).sum::<u64>();
-            }
-            let frontier = &frontier_words;
-            let locals: WorkerLocal<Vec<VertexId>> = WorkerLocal::new(Vec::new);
-            parallel_for(0..active.len(), GRAIN, |range| {
-                let mut buf = locals.borrow();
-                for i in range {
-                    let u = active[i] as usize;
-                    let word = frontier[u];
-                    out.for_each_span(u as VertexId, |span| {
-                        for e in span {
-                            let v = e.dst() as usize;
-                            let prop = word & !visited[v].load(Ordering::Relaxed);
-                            if prop == 0 {
-                                continue;
-                            }
-                            let old = visited[v].fetch_or(prop, Ordering::Relaxed);
-                            let mut won = prop & !old;
-                            if won == 0 {
-                                continue;
-                            }
-                            if next[v].fetch_or(won, Ordering::Relaxed) == 0 {
-                                buf.push(v as VertexId);
-                            }
-                            while won != 0 {
-                                let q = won.trailing_zeros() as usize;
-                                // SAFETY: `fetch_or` on `visited[v]`
-                                // admits exactly one winner per
-                                // (vertex, lane) bit, so no other
-                                // thread writes this element.
-                                unsafe { level_cells.write(v * lanes + q, depth) };
-                                won &= won - 1;
-                            }
-                        }
-                        span.len()
-                    });
-                }
-            });
-            active = parallel_collect(locals);
-            for &v in &active {
-                let v = v as usize;
-                frontier_words[v] = next[v].swap(0, Ordering::Relaxed);
-            }
-        }
-        if recorder.enabled() {
-            recorder.record_counter(WAVE_ROUNDS, rounds);
-            recorder.record_counter(WAVE_EDGES, edges_examined);
-        }
+    let nv = graph.num_vertices();
+    let (words, seeds) = LaneWords::seed(nv, sources);
+    let lanes = words.lanes;
+    let levels: Vec<AtomicU32> = (0..nv * lanes).map(|_| AtomicU32::new(u32::MAX)).collect();
+    for (q, &s) in sources.iter().enumerate() {
+        levels[s as usize * lanes + q].store(0, Ordering::Relaxed);
     }
-
-    demux(&levels, nv, lanes)
+    let visited: Vec<AtomicU64> = (0..nv).map(|_| AtomicU64::new(0)).collect();
+    // Duplicate sources coexist: each lane tracks its own bit.
+    for &s in &seeds {
+        visited[s as usize].store(words.frontier[s as usize], Ordering::Relaxed);
+    }
+    let mut op = LaneBfs {
+        words,
+        all_lanes: u64::MAX >> (MAX_WAVE - lanes),
+        visited,
+        levels,
+    };
+    run_rounds(graph, &mut op, seeds, max_depth, ctx);
+    demux(&op.levels, lanes, |l| l.load(Ordering::Relaxed))
 }
 
-/// Multi-source SSSP over any out-[`NeighborAccess`]: label-correcting
-/// relaxation with per-lane `f32` `fetch_min`, one lane per source.
-/// Returns one distance vector per source (`f32::INFINITY` for
-/// unreachable vertices), bit-identical to the single-source kernel.
+/// Multi-source SSSP: label-correcting relaxation with per-lane `f32`
+/// `fetch_min`, one lane per source. Returns one distance vector per
+/// source (`f32::INFINITY` for unreachable vertices), bit-identical to
+/// the single-source kernel.
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`multi_bfs`].
-pub fn multi_sssp<E: EdgeRecord, A: NeighborAccess<E>>(
-    out: &A,
+/// Panics under the same conditions as [`bfs`].
+pub fn sssp<E: EdgeRecord, G: WaveGraph<E>>(
+    graph: &G,
     sources: &[VertexId],
     ctx: &ExecCtx<'_>,
 ) -> Vec<Vec<f32>> {
-    let nv = out.num_vertices();
-    let lanes = sources.len();
-    assert!(
-        (1..=MAX_WAVE).contains(&lanes),
-        "wave size {lanes} outside 1..={MAX_WAVE}"
-    );
-    let recorder = ctx.context();
-    let recorder = recorder.recorder;
-
+    let nv = graph.num_vertices();
+    let (words, seeds) = LaneWords::seed(nv, sources);
+    let lanes = words.lanes;
     let dist: Vec<AtomicF32> = (0..nv * lanes)
         .map(|_| AtomicF32::new(f32::INFINITY))
         .collect();
-    let next: Vec<AtomicU64> = (0..nv).map(|_| AtomicU64::new(0)).collect();
-    let mut frontier_words: Vec<u64> = vec![0; nv];
-
-    let mut active: Vec<VertexId> = Vec::with_capacity(lanes);
     for (q, &s) in sources.iter().enumerate() {
-        let v = s as usize;
-        assert!(v < nv, "source {s} out of range ({nv} vertices)");
-        dist[v * lanes + q].store(0.0, Ordering::Relaxed);
-        if frontier_words[v] == 0 {
-            active.push(s);
-        }
-        frontier_words[v] |= 1 << q;
+        dist[s as usize * lanes + q].store(0.0, Ordering::Relaxed);
     }
-
-    let mut edges_examined = 0u64;
-    let mut rounds = 0u64;
-    while !active.is_empty() {
-        rounds += 1;
-        if recorder.enabled() {
-            edges_examined += active.iter().map(|&v| out.degree(v) as u64).sum::<u64>();
-        }
-        let frontier = &frontier_words;
-        let dist_ref = &dist;
-        let locals: WorkerLocal<Vec<VertexId>> = WorkerLocal::new(Vec::new);
-        parallel_for(0..active.len(), GRAIN, |range| {
-            let mut buf = locals.borrow();
-            let mut du = [0.0f32; MAX_WAVE];
-            for i in range {
-                let u = active[i] as usize;
-                let mut word = frontier[u];
-                // Snapshot the active lanes' distances once per source
-                // vertex; the edge loop below reuses them.
-                let mut w = word;
-                while w != 0 {
-                    let q = w.trailing_zeros() as usize;
-                    du[q] = dist_ref[u * lanes + q].load(Ordering::Relaxed);
-                    w &= w - 1;
-                }
-                out.for_each_span(u as VertexId, |span| {
-                    for e in span {
-                        let v = e.dst() as usize;
-                        let weight = e.weight();
-                        word = frontier[u];
-                        let mut improved = 0u64;
-                        let mut w = word;
-                        while w != 0 {
-                            let q = w.trailing_zeros() as usize;
-                            let nd = du[q] + weight;
-                            if dist_ref[v * lanes + q].fetch_min(nd, Ordering::Relaxed) {
-                                improved |= 1 << q;
-                            }
-                            w &= w - 1;
-                        }
-                        if improved != 0 && next[v].fetch_or(improved, Ordering::Relaxed) == 0 {
-                            buf.push(v as VertexId);
-                        }
-                    }
-                    span.len()
-                });
-            }
-        });
-        active = parallel_collect(locals);
-        for &v in &active {
-            let v = v as usize;
-            frontier_words[v] = next[v].swap(0, Ordering::Relaxed);
-        }
-    }
-    if recorder.enabled() {
-        recorder.record_counter(WAVE_ROUNDS, rounds);
-        recorder.record_counter(WAVE_EDGES, edges_examined);
-    }
-
-    let flat: Vec<f32> = dist
-        .into_iter()
-        .map(|d| d.load(Ordering::Relaxed))
-        .collect();
-    (0..lanes)
-        .map(|q| (0..nv).map(|v| flat[v * lanes + q]).collect())
-        .collect()
+    let mut op = LaneSssp { words, dist };
+    run_rounds(graph, &mut op, seeds, u32::MAX, ctx);
+    demux(&op.dist, lanes, |d| d.load(Ordering::Relaxed))
 }
 
-/// Multi-source BFS over a grid layout. The grid has no per-vertex
-/// neighbor index, so every round is a full cell scan that only
-/// propagates from frontier sources. A level is the round a lane's bit
-/// first reaches a vertex — scan-order independent — so the per-lane
-/// results are bit-identical to [`multi_bfs`] on an adjacency.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`multi_bfs`].
-pub fn multi_bfs_grid<E: EdgeRecord>(
-    grid: &Grid<E>,
-    sources: &[VertexId],
+/// The per-vertex lane words every wave rule shares: the lanes active
+/// at a vertex this round, and the lanes that reached it this round.
+struct LaneWords {
+    lanes: usize,
+    /// The round being run, from 1 (BFS stamps it as the level).
+    round: u32,
+    frontier: Vec<u64>,
+    next: Vec<AtomicU64>,
+}
+
+impl LaneWords {
+    /// Lane words with lane `q` active at `sources[q]`, plus the first
+    /// frontier (each source vertex once).
+    fn seed(nv: usize, sources: &[VertexId]) -> (Self, Vec<VertexId>) {
+        let lanes = sources.len();
+        assert!(
+            (1..=MAX_WAVE).contains(&lanes),
+            "wave size {lanes} outside 1..={MAX_WAVE}"
+        );
+        let mut frontier = vec![0u64; nv];
+        let mut seeds = Vec::with_capacity(lanes);
+        for (q, &s) in sources.iter().enumerate() {
+            let v = s as usize;
+            assert!(v < nv, "source {s} out of range ({nv} vertices)");
+            if frontier[v] == 0 {
+                seeds.push(s);
+            }
+            frontier[v] |= 1 << q;
+        }
+        let words = Self {
+            lanes,
+            round: 0,
+            frontier,
+            next: (0..nv).map(|_| AtomicU64::new(0)).collect(),
+        };
+        (words, seeds)
+    }
+
+    /// Records that the lanes in `bits` reached `v`; `true` on the
+    /// round's first arrival, so the engine adds `v` to the next
+    /// frontier once.
+    #[inline]
+    fn arrive(&self, v: usize, bits: u64) -> bool {
+        self.next[v].fetch_or(bits, Ordering::Relaxed) == 0
+    }
+
+    /// Ends a round: moves the round's arrivals into the words of the
+    /// next frontier. A round that reads only frontier words never sees
+    /// the words the pushed frontier leaves behind; `clear` zeroes them
+    /// for rounds that read the word of every source.
+    fn advance(&mut self, pushed: &VertexSubset, next: &VertexSubset, clear: bool) {
+        if clear {
+            for &v in sparse(pushed) {
+                self.frontier[v as usize] = 0;
+            }
+        }
+        for &v in sparse(next) {
+            let v = v as usize;
+            self.frontier[v] = std::mem::take(self.next[v].get_mut());
+        }
+    }
+}
+
+fn sparse(subset: &VertexSubset) -> &[VertexId] {
+    match subset {
+        VertexSubset::Sparse(list) => list,
+        VertexSubset::Dense { .. } => unreachable!("wave frontiers are sparse"),
+    }
+}
+
+/// A push rule over [`LaneWords`], driven by [`run_rounds`].
+trait LaneRule<E: EdgeRecord>: PushOp<E> {
+    fn words(&mut self) -> &mut LaneWords;
+}
+
+/// Lane-word BFS: `visited` holds every lane that has reached a vertex,
+/// `levels` the round each `(vertex, lane)` bit was first won.
+struct LaneBfs {
+    words: LaneWords,
+    /// One bit per lane of the wave.
+    all_lanes: u64,
+    visited: Vec<AtomicU64>,
+    levels: Vec<AtomicU32>,
+}
+
+impl<E: EdgeRecord> PushOp<E> for LaneBfs {
+    #[inline]
+    fn push(&self, e: &E) -> bool {
+        let v = e.dst() as usize;
+        let seen = self.visited[v].load(Ordering::Relaxed);
+        // Most edges of a traversal reach a vertex every lane has
+        // already seen; they need not read the source's word.
+        if seen == self.all_lanes {
+            return false;
+        }
+        let prop = self.words.frontier[e.src() as usize] & !seen;
+        if prop == 0 {
+            return false;
+        }
+        let mut won = prop & !self.visited[v].fetch_or(prop, Ordering::Relaxed);
+        if won == 0 {
+            return false;
+        }
+        let first = self.words.arrive(v, won);
+        // `fetch_or` on `visited[v]` admits exactly one winner per
+        // (vertex, lane) bit, so each level is written once.
+        while won != 0 {
+            let q = won.trailing_zeros() as usize;
+            self.levels[v * self.words.lanes + q].store(self.words.round, Ordering::Relaxed);
+            won &= won - 1;
+        }
+        first
+    }
+
+    #[inline]
+    fn source_active(&self, src: VertexId) -> bool {
+        self.words.frontier[src as usize] != 0
+    }
+}
+
+impl<E: EdgeRecord> LaneRule<E> for LaneBfs {
+    fn words(&mut self) -> &mut LaneWords {
+        &mut self.words
+    }
+}
+
+/// Lane-word SSSP: `dist` holds one `f32` distance per `(vertex, lane)`.
+struct LaneSssp {
+    words: LaneWords,
+    dist: Vec<AtomicF32>,
+}
+
+impl<E: EdgeRecord> PushOp<E> for LaneSssp {
+    #[inline]
+    fn push(&self, e: &E) -> bool {
+        let (u, v) = (e.src() as usize, e.dst() as usize);
+        let lanes = self.words.lanes;
+        let mut word = self.words.frontier[u];
+        let mut improved = 0u64;
+        while word != 0 {
+            let q = word.trailing_zeros() as usize;
+            let nd = self.dist[u * lanes + q].load(Ordering::Relaxed) + e.weight();
+            if self.dist[v * lanes + q].fetch_min(nd, Ordering::Relaxed) {
+                improved |= 1 << q;
+            }
+            word &= word - 1;
+        }
+        improved != 0 && self.words.arrive(v, improved)
+    }
+
+    #[inline]
+    fn source_active(&self, src: VertexId) -> bool {
+        self.words.frontier[src as usize] != 0
+    }
+}
+
+impl<E: EdgeRecord> LaneRule<E> for LaneSssp {
+    fn words(&mut self) -> &mut LaneWords {
+        &mut self.words
+    }
+}
+
+/// The wave round loop: pushes `op` from `seeds` until no lane moves or
+/// `max_depth` rounds have run. Serve attaches no cache probe, so the
+/// drivers run with the static [`NullProbe`] and only the recorder of
+/// `ctx` is passed on.
+fn run_rounds<E: EdgeRecord, G: WaveGraph<E>, O: LaneRule<E>>(
+    graph: &G,
+    op: &mut O,
+    seeds: Vec<VertexId>,
     max_depth: u32,
     ctx: &ExecCtx<'_>,
-) -> Vec<Vec<u32>> {
-    let nv = grid.num_vertices();
-    let lanes = sources.len();
-    assert!(
-        (1..=MAX_WAVE).contains(&lanes),
-        "wave size {lanes} outside 1..={MAX_WAVE}"
-    );
-    let mut levels = vec![u32::MAX; nv * lanes];
-    let recorder = ctx.context();
-    let recorder = recorder.recorder;
-
-    {
-        let visited: Vec<AtomicU64> = (0..nv).map(|_| AtomicU64::new(0)).collect();
-        let next: Vec<AtomicU64> = (0..nv).map(|_| AtomicU64::new(0)).collect();
-        let mut frontier_words: Vec<u64> = vec![0; nv];
-        let level_cells = UnsyncSlice::new(&mut levels);
-
-        let mut active: Vec<VertexId> = Vec::with_capacity(lanes);
-        for (q, &s) in sources.iter().enumerate() {
-            let v = s as usize;
-            assert!(v < nv, "source {s} out of range ({nv} vertices)");
-            // SAFETY: seeding runs before any parallel region.
-            unsafe { level_cells.write(v * lanes + q, 0) };
-            if visited[v].fetch_or(1 << q, Ordering::Relaxed) == 0 {
-                active.push(s);
-            }
-            frontier_words[v] |= 1 << q;
-        }
-
-        let side = grid.side();
-        let num_cells = side * side;
-        let mut depth = 0u32;
-        let mut edges_examined = 0u64;
-        let mut rounds = 0u64;
-        while !active.is_empty() && depth < max_depth {
-            depth += 1;
-            rounds += 1;
-            if recorder.enabled() {
-                edges_examined += grid.num_edges() as u64;
-            }
-            let frontier = &frontier_words;
-            let locals: WorkerLocal<Vec<VertexId>> = WorkerLocal::new(Vec::new);
-            parallel_for(0..num_cells, 1, |cells| {
-                let mut buf = locals.borrow();
-                for c in cells {
-                    for e in grid.cell(c / side, c % side) {
-                        let word = frontier[e.src() as usize];
-                        if word == 0 {
-                            continue;
-                        }
-                        let v = e.dst() as usize;
-                        let prop = word & !visited[v].load(Ordering::Relaxed);
-                        if prop == 0 {
-                            continue;
-                        }
-                        let old = visited[v].fetch_or(prop, Ordering::Relaxed);
-                        let mut won = prop & !old;
-                        if won == 0 {
-                            continue;
-                        }
-                        if next[v].fetch_or(won, Ordering::Relaxed) == 0 {
-                            buf.push(v as VertexId);
-                        }
-                        while won != 0 {
-                            let q = won.trailing_zeros() as usize;
-                            // SAFETY: `fetch_or` on `visited[v]` admits
-                            // exactly one winner per (vertex, lane)
-                            // bit, so no other thread writes this
-                            // element.
-                            unsafe { level_cells.write(v * lanes + q, depth) };
-                            won &= won - 1;
-                        }
-                    }
-                }
-            });
-            for &v in &active {
-                frontier_words[v as usize] = 0;
-            }
-            active = parallel_collect(locals);
-            for &v in &active {
-                let v = v as usize;
-                frontier_words[v] = next[v].swap(0, Ordering::Relaxed);
-            }
-        }
-        if recorder.enabled() {
-            recorder.record_counter(WAVE_ROUNDS, rounds);
-            recorder.record_counter(WAVE_EDGES, edges_examined);
-        }
-    }
-
-    demux(&levels, nv, lanes)
-}
-
-/// Multi-source SSSP over a grid layout: full cell scans per round,
-/// per-lane `f32` `fetch_min` relaxation. Distances converge to the
-/// same least fixpoint as [`multi_sssp`], so per-lane results are
-/// bit-identical to the adjacency kernels.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`multi_bfs`].
-pub fn multi_sssp_grid<E: EdgeRecord>(
-    grid: &Grid<E>,
-    sources: &[VertexId],
-    ctx: &ExecCtx<'_>,
-) -> Vec<Vec<f32>> {
-    let nv = grid.num_vertices();
-    let lanes = sources.len();
-    assert!(
-        (1..=MAX_WAVE).contains(&lanes),
-        "wave size {lanes} outside 1..={MAX_WAVE}"
-    );
-    let recorder = ctx.context();
-    let recorder = recorder.recorder;
-
-    let dist: Vec<AtomicF32> = (0..nv * lanes)
-        .map(|_| AtomicF32::new(f32::INFINITY))
-        .collect();
-    let next: Vec<AtomicU64> = (0..nv).map(|_| AtomicU64::new(0)).collect();
-    let mut frontier_words: Vec<u64> = vec![0; nv];
-
-    let mut active: Vec<VertexId> = Vec::with_capacity(lanes);
-    for (q, &s) in sources.iter().enumerate() {
-        let v = s as usize;
-        assert!(v < nv, "source {s} out of range ({nv} vertices)");
-        dist[v * lanes + q].store(0.0, Ordering::Relaxed);
-        if frontier_words[v] == 0 {
-            active.push(s);
-        }
-        frontier_words[v] |= 1 << q;
-    }
-
-    let side = grid.side();
-    let num_cells = side * side;
-    let mut edges_examined = 0u64;
-    let mut rounds = 0u64;
-    while !active.is_empty() {
-        rounds += 1;
-        if recorder.enabled() {
-            edges_examined += grid.num_edges() as u64;
-        }
-        let frontier = &frontier_words;
-        let dist_ref = &dist;
-        let locals: WorkerLocal<Vec<VertexId>> = WorkerLocal::new(Vec::new);
-        parallel_for(0..num_cells, 1, |cells| {
-            let mut buf = locals.borrow();
-            for c in cells {
-                for e in grid.cell(c / side, c % side) {
-                    let u = e.src() as usize;
-                    let word = frontier[u];
-                    if word == 0 {
-                        continue;
-                    }
-                    let v = e.dst() as usize;
-                    let weight = e.weight();
-                    let mut improved = 0u64;
-                    let mut w = word;
-                    while w != 0 {
-                        let q = w.trailing_zeros() as usize;
-                        let nd = dist_ref[u * lanes + q].load(Ordering::Relaxed) + weight;
-                        if dist_ref[v * lanes + q].fetch_min(nd, Ordering::Relaxed) {
-                            improved |= 1 << q;
-                        }
-                        w &= w - 1;
-                    }
-                    if improved != 0 && next[v].fetch_or(improved, Ordering::Relaxed) == 0 {
-                        buf.push(v as VertexId);
-                    }
-                }
-            }
-        });
-        for &v in &active {
-            frontier_words[v as usize] = 0;
-        }
-        active = parallel_collect(locals);
-        for &v in &active {
-            let v = v as usize;
-            frontier_words[v] = next[v].swap(0, Ordering::Relaxed);
-        }
+) {
+    let recorder = ctx.context().recorder;
+    let engine_ctx = ExecContext::new().with_recorder(recorder);
+    let mut frontier = VertexSubset::from_vec(seeds);
+    let mut round = 0u32;
+    while !frontier.is_empty() && round < max_depth {
+        round += 1;
+        op.words().round = round;
+        let next = graph.push_round(&frontier, &*op, engine_ctx);
+        op.words().advance(&frontier, &next, G::SCANS_ALL_SOURCES);
+        frontier = next;
     }
     if recorder.enabled() {
-        recorder.record_counter(WAVE_ROUNDS, rounds);
-        recorder.record_counter(WAVE_EDGES, edges_examined);
+        recorder.record_counter(WAVE_ROUNDS, u64::from(round));
     }
-
-    let flat: Vec<f32> = dist
-        .into_iter()
-        .map(|d| d.load(Ordering::Relaxed))
-        .collect();
-    (0..lanes)
-        .map(|q| (0..nv).map(|v| flat[v * lanes + q]).collect())
-        .collect()
 }
 
-/// Splits the `(vertex, lane)`-major flat array into per-lane vectors.
-fn demux(flat: &[u32], nv: usize, lanes: usize) -> Vec<Vec<u32>> {
+/// Splits a `(vertex, lane)`-major flat array into per-lane vectors.
+fn demux<C, T>(flat: &[C], lanes: usize, read: impl Fn(&C) -> T) -> Vec<Vec<T>> {
+    let nv = flat.len() / lanes;
     (0..lanes)
-        .map(|q| (0..nv).map(|v| flat[v * lanes + q]).collect())
+        .map(|q| (0..nv).map(|v| read(&flat[v * lanes + q])).collect())
         .collect()
 }
 
@@ -469,7 +391,7 @@ mod tests {
     use super::*;
     use crate::algo::{bfs, sssp};
     use crate::layout::EdgeDirection;
-    use crate::preprocess::{CsrBuilder, Strategy};
+    use crate::preprocess::{CsrBuilder, GridBuilder, Strategy};
     use crate::types::{Edge, EdgeList, WEdge};
 
     fn ring_with_chords(nv: usize) -> EdgeList<Edge> {
@@ -496,20 +418,23 @@ mod tests {
     fn multi_bfs_matches_single_query_levels_bit_for_bit() {
         let g = ring_with_chords(300);
         let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&g);
+        let grid = GridBuilder::new(Strategy::CountSort).side(4).build(&g);
         let sources: Vec<VertexId> = (0..64).map(|q| (q * 5) % 300).collect();
-        let waves = multi_bfs(adj.out(), &sources, u32::MAX, &ExecCtx::new(None));
+        let ctx = ExecCtx::new(None);
+        let waves = super::bfs(&OutEdges(adj.out()), &sources, u32::MAX, &ctx);
         assert_eq!(waves.len(), sources.len());
         for (q, &s) in sources.iter().enumerate() {
             let single = bfs::push(&adj, s);
             assert_eq!(waves[q], single.level, "lane {q} source {s}");
         }
+        assert_eq!(super::bfs(&grid, &sources, u32::MAX, &ctx), waves);
     }
 
     #[test]
     fn multi_bfs_truncates_at_max_depth() {
         let g = ring_with_chords(100);
         let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&g);
-        let waves = multi_bfs(adj.out(), &[0, 3], 2, &ExecCtx::new(None));
+        let waves = super::bfs(&OutEdges(adj.out()), &[0, 3], 2, &ExecCtx::new(None));
         for lane in &waves {
             assert!(lane.iter().all(|&l| l == u32::MAX || l <= 2));
             assert!(lane.contains(&1));
@@ -523,7 +448,12 @@ mod tests {
     fn multi_bfs_handles_duplicate_sources() {
         let g = ring_with_chords(50);
         let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&g);
-        let waves = multi_bfs(adj.out(), &[7, 7, 7], u32::MAX, &ExecCtx::new(None));
+        let waves = super::bfs(
+            &OutEdges(adj.out()),
+            &[7, 7, 7],
+            u32::MAX,
+            &ExecCtx::new(None),
+        );
         assert_eq!(waves[0], waves[1]);
         assert_eq!(waves[1], waves[2]);
     }
@@ -532,12 +462,15 @@ mod tests {
     fn multi_sssp_matches_single_query_distances_bit_for_bit() {
         let g = weighted_ring(200);
         let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&g);
+        let grid = GridBuilder::new(Strategy::CountSort).side(4).build(&g);
         let sources: Vec<VertexId> = (0..32).map(|q| (q * 11) % 200).collect();
-        let waves = multi_sssp(adj.out(), &sources, &ExecCtx::new(None));
+        let ctx = ExecCtx::new(None);
+        let waves = super::sssp(&OutEdges(adj.out()), &sources, &ctx);
         for (q, &s) in sources.iter().enumerate() {
             let single = sssp::push(&adj, s);
             assert_eq!(waves[q], single.dist, "lane {q} source {s}");
         }
+        assert_eq!(super::sssp(&grid, &sources, &ctx), waves);
     }
 
     #[test]
@@ -546,9 +479,9 @@ mod tests {
         let adj = CsrBuilder::new(Strategy::CountSort, EdgeDirection::Out).build(&g);
         let recorder = crate::telemetry::TraceRecorder::new();
         let ctx = ExecCtx::new(None).recorder(&recorder);
-        multi_bfs(adj.out(), &[0, 1, 2], u32::MAX, &ctx);
+        super::bfs(&OutEdges(adj.out()), &[0, 1, 2], u32::MAX, &ctx);
         let counters = recorder.counters();
         assert!(counters.get(WAVE_ROUNDS).copied().unwrap_or(0.0) > 0.0);
-        assert!(counters.get(WAVE_EDGES).copied().unwrap_or(0.0) > 0.0);
+        assert!(counters.get(engine::EDGES_EXAMINED).copied().unwrap_or(0.0) > 0.0);
     }
 }

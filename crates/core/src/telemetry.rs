@@ -1314,9 +1314,16 @@ pub mod json {
     //! A minimal JSON reader/writer covering exactly what [`RunTrace`]
     //! emits (the workspace deliberately carries no serialization
     //! dependency). Strings, finite numbers, booleans, null, arrays
-    //! and objects; no depth limit; objects preserve insertion order.
+    //! and objects nested at most [`MAX_DEPTH`] deep; objects preserve
+    //! insertion order.
     //!
     //! [`RunTrace`]: super::RunTrace
+
+    /// Deepest nesting of arrays and objects [`parse`] accepts. The
+    /// parser recurses once per level, so the cap keeps outside input
+    /// (daemon requests, delta lines, trace files) from overflowing the
+    /// stack; the documents this crate writes nest a few levels deep.
+    pub const MAX_DEPTH: usize = 128;
 
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
@@ -1407,6 +1414,7 @@ pub mod json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -1420,6 +1428,8 @@ pub mod json {
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects open at `pos`.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -1448,8 +1458,22 @@ pub mod json {
 
         fn value(&mut self) -> Result<Value, String> {
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(open @ (b'{' | b'[')) => {
+                    if self.depth == MAX_DEPTH {
+                        return Err(format!(
+                            "nesting deeper than {MAX_DEPTH} at byte {}",
+                            self.pos
+                        ));
+                    }
+                    self.depth += 1;
+                    let nested = if open == b'{' {
+                        self.object()
+                    } else {
+                        self.array()
+                    };
+                    self.depth -= 1;
+                    nested
+                }
                 Some(b'"') => Ok(Value::String(self.string()?)),
                 Some(b't') => self.literal("true", Value::Bool(true)),
                 Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -2024,6 +2048,17 @@ mod tests {
         assert_eq!(p.hardware_llc_miss_ratio(), None);
         p.hardware.insert("llc_load_misses".into(), 100.0);
         assert_eq!(p.hardware_llc_miss_ratio(), Some(0.25));
+    }
+
+    #[test]
+    fn json_parser_rejects_nesting_past_the_cap_without_recursing() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(json::parse(&nested(json::MAX_DEPTH)).is_ok());
+        let err = json::parse(&nested(json::MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Deep enough to overflow a thread stack if each level recursed.
+        let err = json::parse(&"[{\"a\":".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

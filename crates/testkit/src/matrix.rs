@@ -151,6 +151,10 @@ struct VariantOut {
     /// Tolerance against the single-thread same-variant baseline.
     cross_tol: f64,
     output: Output,
+    /// BFS parents. Any BFS tree is valid, so there is no serial
+    /// reference, but every BFS rule picks the smallest frontier
+    /// neighbor: the tree must equal the 1-thread baseline's exactly.
+    parents: Option<Vec<u32>>,
 }
 
 impl VariantOut {
@@ -161,6 +165,7 @@ impl VariantOut {
             ref_tol: EXACT,
             cross_tol: EXACT,
             output: Output::Ints(v),
+            parents: None,
         }
     }
 
@@ -177,6 +182,7 @@ impl VariantOut {
             ref_tol,
             cross_tol,
             output: Output::Floats(v),
+            parents: None,
         }
     }
 }
@@ -248,6 +254,15 @@ pub fn run_matrix(graphs: &[NamedGraph], cfg: &MatrixConfig) -> MatrixReport {
                         variant: v.variant.clone(),
                         threads,
                         detail: format!("vs 1-thread baseline: {detail}"),
+                    });
+                }
+                if v.parents != base.parents {
+                    report.mismatches.push(Mismatch {
+                        graph: named.name.clone(),
+                        algo: v.algo,
+                        variant: v.variant.clone(),
+                        threads,
+                        detail: "BFS parents differ from the 1-thread baseline".to_string(),
                     });
                 }
             }
@@ -330,7 +345,10 @@ fn classify(id: &VariantId, sync: SyncMode, output: VariantOutput) -> VariantOut
         REORDER_TOL
     };
     match output {
-        VariantOutput::Bfs(r) => VariantOut::ints("bfs", variant, r.level),
+        VariantOutput::Bfs(r) => VariantOut {
+            parents: Some(r.parent),
+            ..VariantOut::ints("bfs", variant, r.level)
+        },
         VariantOutput::Wcc(r) => VariantOut::ints("wcc", variant, r.label),
         VariantOutput::Sssp(r) => VariantOut::floats("sssp", variant, EXACT, EXACT, r.dist),
         VariantOutput::Pagerank(r) => {
